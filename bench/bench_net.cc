@@ -1,12 +1,10 @@
 // Experiment T6 — the cost of the network boundary. The same workload is
-// driven through the same ClusterTransport interface five ways:
+// driven through the same ClusterTransport interface three ways:
 //
 //   threaded    — the in-process broker (std::thread workers, no network)
-//   rpc         — RemoteCluster -> loopback TCP -> in-process RpcServer,
-//                 one Publish round trip per event
-//   rpc-batch   — same, but PublishBatch frames of 256 events
-//   fanout-1d   — FanoutCluster -> one daemon hosting all partitions,
-//                 pipelined batch frames (up to 32 in flight)
+//   fanout-1d   — FanoutCluster -> loopback TCP -> one in-process daemon
+//                 hosting all partitions, pipelined batch frames (up to 32
+//                 in flight)
 //   fanout-4d   — FanoutCluster -> a 4-daemon partition group (one daemon
 //                 per partition), same pipelined batches fanned to all four
 //
@@ -18,9 +16,8 @@
 // Reported: ingest throughput (publish -> drain of the full stream) and the
 // publish->recommendation latency distribution (publish one event, drain,
 // gather — the time until that event's recommendations are in hand).
-// Per-event RPC pays one round trip per event, so batching is the lever
-// that recovers most of the gap; pipelining overlaps the framing/syscall
-// cost with daemon-side work; the multi-daemon rows price the paper's
+// Batching and pipelining overlap the framing/syscall cost with
+// daemon-side work; the multi-daemon rows price the paper's
 // process-per-partition deployment (every daemon ingests the full stream,
 // so fan-out multiplies bytes written, while the per-daemon detector work
 // shrinks with the shard).
@@ -44,7 +41,6 @@
 #include "net/fanout_cluster.h"
 #include "net/frame_buf.h"
 #include "net/frame_io.h"
-#include "net/remote_cluster.h"
 #include "net/rpc_server.h"
 #include "net/socket.h"
 #include "net/wire.h"
@@ -86,7 +82,6 @@ struct Endpoint {
   std::unique_ptr<LocalClusterTransport> local;
   std::vector<std::unique_ptr<LocalClusterTransport>> hosted;
   std::vector<std::unique_ptr<net::RpcServer>> servers;
-  std::unique_ptr<net::RemoteCluster> remote;
   std::unique_ptr<net::FanoutCluster> fanout;
 };
 
@@ -124,19 +119,6 @@ net::RpcServer* SpawnDaemon(Endpoint* e, const StaticGraph& graph,
   }
   e->servers.push_back(std::move(server).value());
   return e->servers.back().get();
-}
-
-/// Fresh loopback RPC endpoint (server + connected client).
-Endpoint MakeRemote(const StaticGraph& graph) {
-  Endpoint e;
-  net::RpcServer* server = SpawnDaemon(&e, graph, MakeClusterOptions());
-  net::RemoteClusterOptions ropt;
-  ropt.port = server->port();
-  auto remote = net::RemoteCluster::Connect(ropt);
-  if (!remote.ok()) std::exit(1);
-  e.remote = std::move(remote).value();
-  e.transport = e.remote.get();
-  return e;
 }
 
 /// Fresh fan-out endpoint: `daemons` == 1 hosts the whole cluster behind
@@ -201,11 +183,9 @@ struct ConnScaleResult {
 
 /// The many-connection experiment: N raw client sockets against one
 /// in-process daemon, round-robin ping round trips across all of them.
-/// The thread-per-connection loop pays one OS thread per socket; the epoll
-/// reactor serves all N from one reactor thread + a fixed worker pool —
-/// the number this section exists to put on the record.
-ConnScaleResult RunConnScale(const StaticGraph& graph,
-                             net::ServerLoop loop, size_t connections,
+/// The epoll reactor serves all N from one reactor thread + a fixed worker
+/// pool — the number this section exists to put on the record.
+ConnScaleResult RunConnScale(const StaticGraph& graph, size_t connections,
                              size_t rounds) {
   Endpoint e;
   auto hosted = LocalClusterTransport::Create(
@@ -213,9 +193,8 @@ ConnScaleResult RunConnScale(const StaticGraph& graph,
   if (!hosted.ok()) std::exit(1);
   e.hosted.push_back(std::move(hosted).value());
   const long threads_before = CountThreads();
-  net::RpcServerOptions sopt;
-  sopt.loop = loop;
-  auto server = net::RpcServer::Start(e.hosted.back().get(), sopt);
+  auto server =
+      net::RpcServer::Start(e.hosted.back().get(), net::RpcServerOptions{});
   if (!server.ok()) std::exit(1);
 
   std::vector<net::TcpSocket> sockets;
@@ -231,8 +210,8 @@ ConnScaleResult RunConnScale(const StaticGraph& graph,
   }
   std::string ping;
   net::AppendEmptyRequest(net::MessageTag::kPing, &ping);
-  // One warm-up round trip per connection so every handler thread (threads
-  // loop) exists before the census.
+  // One warm-up round trip per connection so every connection is accepted
+  // before the census.
   for (net::TcpSocket& socket : sockets) {
     if (!socket.WriteAll(ping.data(), ping.size()).ok()) std::exit(1);
     net::Frame reply;
@@ -322,7 +301,7 @@ int main() {
   std::printf("%11s %8s %12s %10s\n", "transport", "batch", "events/s",
               "recs");
   uint64_t reference_recs = 0;
-  enum class Kind { kLocal, kRemote, kFanout1, kFanout4 };
+  enum class Kind { kLocal, kFanout1, kFanout4 };
   struct Config {
     const char* name;
     Kind kind;
@@ -330,8 +309,6 @@ int main() {
   };
   const Config configs[] = {
       {"threaded", Kind::kLocal, 1},
-      {"rpc", Kind::kRemote, 1},
-      {"rpc-batch", Kind::kRemote, 256},
       {"fanout-1d", Kind::kFanout1, 4096},
       {"fanout-4d", Kind::kFanout4, 4096},
   };
@@ -340,7 +317,6 @@ int main() {
     Endpoint endpoint;
     switch (c.kind) {
       case Kind::kLocal: endpoint = MakeLocal(w.follow_graph); break;
-      case Kind::kRemote: endpoint = MakeRemote(w.follow_graph); break;
       case Kind::kFanout1: endpoint = MakeFanout(w.follow_graph, 1); break;
       case Kind::kFanout4: endpoint = MakeFanout(w.follow_graph, 4); break;
     }
@@ -501,7 +477,7 @@ int main() {
     }
   }
 
-  // --- connection scaling: threads vs epoll under 256 peers ----------------
+  // --- connection scaling: the epoll reactor under 256 peers ---------------
   std::printf("\n--- connection scaling (256 concurrent connections, "
               "round-robin pings) ---\n");
   std::printf("%11s %13s %14s %15s\n", "loop", "connections", "requests/s",
@@ -509,19 +485,13 @@ int main() {
   {
     constexpr size_t kConnections = 256;
     constexpr size_t kRounds = 40;
-    const net::ServerLoop loops[] = {net::ServerLoop::kThreads,
-                                     net::ServerLoop::kEpoll};
-    for (const net::ServerLoop loop : loops) {
-      const ConnScaleResult result =
-          RunConnScale(w.follow_graph, loop, kConnections, kRounds);
-      const char* name =
-          loop == net::ServerLoop::kEpoll ? "epoll" : "threads";
-      std::printf("%11s %13zu %14s %15ld\n", name, kConnections,
-                  HumanCount(result.requests_per_sec).c_str(),
-                  result.server_threads);
-      json.AddConnScale(name, kConnections, result.requests_per_sec,
-                        result.server_threads);
-    }
+    const ConnScaleResult result =
+        RunConnScale(w.follow_graph, kConnections, kRounds);
+    std::printf("%11s %13zu %14s %15ld\n", "epoll", kConnections,
+                HumanCount(result.requests_per_sec).c_str(),
+                result.server_threads);
+    json.AddConnScale("epoll", kConnections, result.requests_per_sec,
+                      result.server_threads);
   }
 
   const size_t latency_events = 2'000;
@@ -536,7 +506,6 @@ int main() {
   };
   const LatencyConfig latency_configs[] = {
       {"threaded", Kind::kLocal},
-      {"rpc", Kind::kRemote},
       {"fanout-1d", Kind::kFanout1},
       {"fanout-4d", Kind::kFanout4},
   };
@@ -544,7 +513,6 @@ int main() {
     Endpoint endpoint;
     switch (c.kind) {
       case Kind::kLocal: endpoint = MakeLocal(w.follow_graph); break;
-      case Kind::kRemote: endpoint = MakeRemote(w.follow_graph); break;
       case Kind::kFanout1: endpoint = MakeFanout(w.follow_graph, 1); break;
       case Kind::kFanout4: endpoint = MakeFanout(w.follow_graph, 4); break;
     }
@@ -638,18 +606,14 @@ int main() {
   }
   json.MergeWrite("BENCH_net.json");
 
-  std::printf("\nthe rpc transport pays three loopback round trips per "
-              "probed event (publish,\ndrain, gather); batching amortizes "
-              "the framing and syscall cost across 256 events\nand recovers "
-              "most of the in-process throughput. the fan-out rows add "
-              "pipelining\n(several batch frames in flight per daemon); the "
-              "4-daemon row writes every event\nto four sockets — the "
-              "paper's deployment trades that broker-side fan-out cost\nfor "
-              "per-partition detector parallelism across processes. the "
-              "conn-scale rows are\nthe reason the epoll reactor exists: "
-              "the threads loop pays one OS thread per\npeer (256 "
-              "connections -> ~256 server threads), the reactor serves the "
-              "same peers\nfrom one epoll thread plus a fixed worker "
-              "pool.\n");
+  std::printf("\nthe fan-out rows pay three loopback round trips per probed "
+              "event (publish,\ndrain, gather); batching amortizes the "
+              "framing and syscall cost across 4096\nevents and pipelining "
+              "keeps several batch frames in flight per daemon. the\n"
+              "4-daemon row writes every event to four sockets — the paper's "
+              "deployment\ntrades that broker-side fan-out cost for "
+              "per-partition detector parallelism\nacross processes. the "
+              "conn-scale row shows the epoll reactor serving 256 peers\n"
+              "from one epoll thread plus a fixed worker pool.\n");
   return 0;
 }

@@ -1,7 +1,9 @@
 // Quickstart against a real magicrecsd process: connect over TCP, replay
 // the paper's Figure-1 scenario, and check the recommendation comes back
 // across the wire. The remote twin of examples/quickstart.cpp — same edges,
-// same expected result, but with a daemon and a network in between.
+// same expected result, but with a daemon and a network in between. The
+// client is the fan-out broker with one endpoint that hosts every
+// partition: the same code path a partition group uses, with one daemon.
 //
 // Run a daemon first (k=2 is what Figure 1 needs):
 //   ./magicrecsd --graph=fig1 --k=2 --partitions=2 --port=7421 &
@@ -15,30 +17,32 @@
 #include <string>
 
 #include "gen/figure1.h"
-#include "net/remote_cluster.h"
+#include "net/fanout_cluster.h"
 
 using namespace magicrecs;
 
 int main(int argc, char** argv) {
-  net::RemoteClusterOptions options;
-  options.host = argc > 1 ? argv[1] : "127.0.0.1";
-  options.port =
+  net::FanoutEndpoint daemon;  // partition = kAllPartitions
+  daemon.host = argc > 1 ? argv[1] : "127.0.0.1";
+  daemon.port =
       static_cast<uint16_t>(argc > 2 ? std::strtoul(argv[2], nullptr, 10)
                                      : 7421);
+  net::FanoutClusterOptions options;
+  options.endpoints.push_back(daemon);
 
-  auto remote = net::RemoteCluster::Connect(options);
+  auto remote = net::FanoutCluster::Connect(options);
   if (!remote.ok()) {
-    std::fprintf(stderr, "connect %s:%u: %s\n", options.host.c_str(),
-                 options.port, remote.status().ToString().c_str());
+    std::fprintf(stderr, "connect %s:%u: %s\n", daemon.host.c_str(),
+                 daemon.port, remote.status().ToString().c_str());
     return 1;
   }
-  std::printf("connected to magicrecsd at %s:%u\n", options.host.c_str(),
-              options.port);
-
+  // Connections open lazily; Ping dials and round-trips the daemon.
   if (const Status s = (*remote)->Ping(); !s.ok()) {
     std::fprintf(stderr, "ping: %s\n", s.ToString().c_str());
     return 1;
   }
+  std::printf("connected to magicrecsd at %s:%u\n", daemon.host.c_str(),
+              daemon.port);
 
   // Publish the Figure-1 dynamic edges: B1->C1, B1->C2, B2->C3, then the
   // trigger B2->C2 that completes the diamond for A2.

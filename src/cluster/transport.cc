@@ -21,11 +21,7 @@ std::string GatherReport::ToString() const {
 }
 
 std::string_view ServerLoopName(uint8_t loop) {
-  switch (loop) {
-    case 1: return "threads";
-    case 2: return "epoll";
-  }
-  return "none";
+  return loop == 2 ? "epoll" : "none";
 }
 
 std::string ClusterStats::ToString() const {

@@ -8,7 +8,8 @@
 //
 //   * LocalClusterTransport(kInline)   — synchronous, deterministic,
 //   * LocalClusterTransport(kThreaded) — one worker thread per replica,
-//   * RemoteCluster (src/net/)         — a real magicrecsd process over TCP,
+//   * FanoutCluster (src/net/)         — one or more magicrecsd processes
+//                                        over TCP,
 //
 // without knowing which one it has. The contract is publish/drain/gather:
 // Publish delivers an event to every partition, Drain blocks until all
@@ -71,7 +72,7 @@ struct GatherReport {
   std::vector<uint32_t> missing_partitions;
 
   /// True iff every daemon answered — also the state a transport with no
-  /// fan-out (local, single remote) always reports.
+  /// fan-out (local) always reports.
   bool complete() const {
     return daemons_answered == daemons_total && missing_partitions.empty();
   }
@@ -87,8 +88,7 @@ struct GatherReport {
 /// as a negotiated tail (net/wire.h), so only hello-speaking peers see it;
 /// a fan-out broker sums the daemons' counters into its merged view.
 struct ServerLoopStats {
-  /// 0 = none/unknown (in-process transport), 1 = thread-per-connection,
-  /// 2 = epoll reactor.
+  /// 0 = none/unknown (in-process transport), 2 = epoll reactor.
   uint8_t loop = 0;
 
   uint32_t connections_open = 0;   ///< currently-accepted connections
@@ -185,7 +185,7 @@ class ClusterTransport {
   virtual Status Publish(const EdgeEvent& event) = 0;
 
   /// Delivers a batch in order. Default implementation loops Publish; the
-  /// remote transport overrides it with a single framed round trip.
+  /// fan-out broker overrides it with pipelined framed round trips.
   virtual Status PublishBatch(std::span<const EdgeEvent> events);
 
   /// Blocks until every event published so far is fully processed.
@@ -201,7 +201,7 @@ class ClusterTransport {
   /// gather may overwrite in between. The default implementation forwards
   /// to the report-less overload and copies LastGatherReport(), which is
   /// exact for transports whose gathers are always complete; transports
-  /// that can degrade (the fan-out broker, RemoteCluster) override it.
+  /// that can degrade (the fan-out broker) override it.
   virtual Result<std::vector<Recommendation>> TakeRecommendations(
       GatherReport* report);
 
@@ -217,8 +217,8 @@ class ClusterTransport {
   /// The text exposition of every metric this endpoint knows (see
   /// docs/observability.md for the format). The default renders the
   /// process-wide MetricsRegistry; transports that sit in front of other
-  /// processes (the fan-out broker, RemoteCluster) override it to pull the
-  /// remote surface too. Serves the kStatsText RPC.
+  /// processes (the fan-out broker) override it to pull the remote surface
+  /// too. Serves the kStatsText RPC.
   virtual Result<std::string> GetStatsText();
 
   /// Health of this endpoint and its constituent parties, as last
@@ -232,14 +232,14 @@ class ClusterTransport {
   virtual Result<HealthReport> GetHealth();
 
   /// Moves out the completed end-to-end traces collected since the last
-  /// call (bounded; oldest dropped first). Only transports that originate
-  /// sampled traces (the fan-out broker) or ferry them (RemoteCluster)
-  /// return anything; the default is empty.
+  /// call (bounded; oldest dropped first). Only a transport that
+  /// originates sampled traces (the fan-out broker) returns anything; the
+  /// default is empty.
   virtual std::vector<TraceContext> TakeTraces();
 
   /// Coverage of the most recent TakeRecommendations on this transport. A
-  /// transport that cannot partially fail (local, single remote daemon)
-  /// reports a complete GatherReport; the fan-out broker reports which
+  /// transport that cannot partially fail (local) reports a complete
+  /// GatherReport; the fan-out broker reports which
   /// partitions were missing from the last merge. Callers that care about
   /// degraded results read this right after a successful gather.
   virtual GatherReport LastGatherReport() const;
@@ -247,8 +247,8 @@ class ClusterTransport {
   /// The user -> partition placement this transport routes by. Local
   /// transports report their cluster's partitioner; the fan-out broker
   /// (net/fanout_cluster.h) reports the group partitioner it routes replica
-  /// ops with. A transport with no client-side placement knowledge (a bare
-  /// RemoteCluster: placement lives server-side) reports Unimplemented.
+  /// ops with. A transport with no client-side placement knowledge reports
+  /// Unimplemented.
   virtual Result<HashPartitioner> Partitioner() const;
 
   /// Releases the transport's resources (joins workers, closes the

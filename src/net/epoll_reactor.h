@@ -1,7 +1,7 @@
-// The event-driven server loop behind RpcServer (ServerLoop::kEpoll): one
-// reactor thread multiplexes the listener and every connection fd through
-// epoll, so connection count is bounded by file descriptors instead of OS
-// threads. The data path per connection:
+// The event-driven server loop behind RpcServer: one reactor thread
+// multiplexes the listener and every connection fd through epoll, so
+// connection count is bounded by file descriptors instead of OS threads.
+// The data path per connection:
 //
 //   EPOLLIN -> non-blocking ReadChunk -> FrameAssembler (partial-read state
 //   machine) -> classify (session frames inline; requests parked in arrival
@@ -14,14 +14,13 @@
 // ops — IsOrderSensitive in wire.h) run strictly serially per connection,
 // in arrival order; order-free reads (gather, stats, ping) on a muxed
 // connection may overtake them. Bare (non-negotiated) connections are fully
-// serial, which keeps their replies in request order — the pre-versioning
+// serial, which keeps their replies in request order — the bare protocol's
 // contract.
 //
 // Backpressure: dispatched-but-unanswered requests per connection are
 // capped at max_inflight_per_conn; at the cap the reactor drops the
 // connection's EPOLLIN interest. The peer's writes then fill the TCP
-// window and block — the same end-to-end backpressure the threaded loop
-// provides, without a thread per peer.
+// window and block — end-to-end backpressure without a thread per peer.
 //
 // Threading: the reactor thread owns all connection state; workers only see
 // copies of decoded frames and push completed response bytes through a

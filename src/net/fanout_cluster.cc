@@ -176,7 +176,6 @@ Result<std::shared_ptr<MuxConnection>> FanoutCluster::AcquireConn(
     daemon->dialing = true;
     lock.unlock();
     MuxConnectionOptions mopt;
-    mopt.enable_mux = options_.enable_mux;
     mopt.tcp_nodelay = options_.tcp_nodelay;
     mopt.connect_timeout_ms = options_.connect_timeout_ms;
     // A host whose kernel accepts while the daemon is wedged must fail
@@ -534,9 +533,7 @@ bool FanoutCluster::TryHedgePublish(Slot* slot,
   // A standing connection means the daemon is slow, not gone: the hedge is
   // a plain second request_id on the same socket. A broken one is dropped
   // WITHOUT opening the circuit-breaker window (the daemon dialed; it may
-  // be merely slow) and replaced. On the legacy in-order session an
-  // abandon above poisons the connection by design, which lands in the
-  // redial branch — the old "fresh pooled connection" behavior.
+  // be merely slow) and replaced.
   if (slot->conn->broken()) {
     DropConn(slot->daemon, slot->conn, /*start_backoff=*/false);
     Result<std::shared_ptr<MuxConnection>> fresh = AcquireConn(slot->daemon);

@@ -6,8 +6,9 @@
 // against N magicrecsd processes, one per partition.
 //
 // Topology: each endpoint is one daemon. Either
-//   * one endpoint hosting the whole cluster (partition = kAllPartitions;
-//     the single-daemon deployment PR 2 shipped), or
+//   * one endpoint hosting the whole cluster (partition = kAllPartitions):
+//     the single-daemon deployment, and the way to drive any one daemon
+//     over TCP (examples/remote_quickstart.cpp), or
 //   * N endpoints, each a partition-group member hosting exactly one global
 //     partition (magicrecsd --partition-group=N --partition-id=p), covering
 //     partitions 0..N-1.
@@ -29,9 +30,7 @@
 // outstanding (distinct request_ids) per daemon before awaiting acks,
 // while the same bytes stream to every other daemon; daemons process
 // concurrently, the client never blocks on one daemon before writing to
-// the next. Against a pre-versioning daemon the session downgrades to the
-// strict in-order protocol (the hello probe, net/wire.h) and the same
-// pipeline runs FIFO — wire bytes identical to the pre-mux broker.
+// the next.
 //
 // Failure handling per daemon: replies are bounded by a per-call recv
 // timeout, a connection failure fails only that daemon's lane, and every
@@ -77,8 +76,8 @@
 //     durability and topology verification must not silently degrade.
 // Degraded semantics are eventual, not exact: events parked in a replay
 // buffer are invisible to Drain until flushed, so recommendations can
-// trail into a later gather. Strict mode keeps the PR 3 contract — and,
-// against pre-versioning daemons, its wire bytes — unchanged.
+// trail into a later gather. Strict mode keeps the all-or-nothing
+// contract.
 
 #ifndef MAGICRECS_NET_FANOUT_CLUSTER_H_
 #define MAGICRECS_NET_FANOUT_CLUSTER_H_
@@ -162,10 +161,6 @@ struct FanoutClusterOptions {
   int max_reconnect_backoff_ms = 2'000;
 
   bool tcp_nodelay = true;
-
-  /// Probe daemons with kHello and multiplex when accepted. False forces
-  /// the legacy in-order session on every lane (back-compat testing).
-  bool enable_mux = true;
 
   /// Sample one publish in this many for end-to-end tracing (util/trace.h):
   /// the sampled batch's FIRST frame carries a trace tail toward every

@@ -103,15 +103,15 @@
 //   kHelloReply         proto_version:u32 features:u32 max_inflight:u32
 //   kMuxRequest         request_id:u64 inner_tag:u8 inner_payload
 //   kMuxResponse        request_id:u64 last:u8 inner_tag:u8 inner_payload
-//     A client MAY open a session with kHello naming the features it wants
-//     (bit 0, kFeatureMux: request-id multiplexing). A server that
-//     understands it answers kHelloReply with the intersection of features
-//     it accepts plus the per-connection in-flight request cap it will
-//     enforce; a PRE-VERSIONING server answers kError(Unimplemented) — an
-//     unknown-but-well-framed tag — and the connection stays usable, which
-//     IS the negotiation: the client falls back to the strict in-order
-//     encoding below, byte-identical to the pre-extension protocol. Once
-//     mux is negotiated, many logical calls share the connection: each
+//     A client opens a session with kHello naming the features it wants
+//     (bit 0, kFeatureMux: request-id multiplexing). The server answers
+//     kHelloReply with the intersection of features it accepts plus the
+//     per-connection in-flight request cap it will enforce. The clients in
+//     this repository (MuxConnection, hence the fan-out broker) require
+//     kFeatureMux in the reply and fail the dial otherwise — there is no
+//     client-side in-order fallback. A peer that never sends kHello is
+//     still served the bare encoding below, in request order. Once mux is
+//     negotiated, many logical calls share the connection: each
 //     request travels as a kMuxRequest envelope around the ordinary
 //     request body, every reply frame comes back as a kMuxResponse
 //     envelope carrying the same request_id, and replies for DIFFERENT

@@ -1,9 +1,7 @@
 // Acceptance for the broker health autopilot (ISSUE 7): a strict
 // partition-group broker watches its own health engine, flips itself to
 // quorum when a daemon dies, keeps publishing, journals the flip with the
-// triggering window values, and flips back after recovery + dwell. Runs
-// under both server loops via MAGICRECS_SERVER_LOOP, like the rest of the
-// net suite.
+// triggering window values, and flips back after recovery + dwell.
 
 #include <chrono>
 #include <string>

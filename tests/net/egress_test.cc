@@ -282,14 +282,12 @@ TEST(WritevTest, WritevChunkReportsWouldBlockInsteadOfBlocking) {
       << "256 KiB against a 4 KiB send buffer never filled it?";
 }
 
-// --- end-to-end byte identity, both server loops ----------------------------
+// --- end-to-end byte identity through the server -----------------------------
 
-class EgressServerTest : public ::testing::TestWithParam<ServerLoop> {
+class EgressServerTest : public ::testing::Test {
  protected:
   void StartServer() {
-    RpcServerOptions options;
-    options.loop = GetParam();
-    auto server = RpcServer::Start(&transport_, options);
+    auto server = RpcServer::Start(&transport_, RpcServerOptions{});
     ASSERT_TRUE(server.ok()) << server.status();
     server_ = std::move(server).value();
   }
@@ -298,7 +296,7 @@ class EgressServerTest : public ::testing::TestWithParam<ServerLoop> {
   std::unique_ptr<RpcServer> server_;
 };
 
-TEST_P(EgressServerTest, ChunkedGatherBytesIdenticalToTheStringEncoders) {
+TEST_F(EgressServerTest, ChunkedGatherBytesIdenticalToTheStringEncoders) {
   // The wire-compatibility lock: a chunked multi-frame gather reply read
   // raw off the socket must equal, byte for byte, what the flat-string
   // encoder produces for the same recommendations. ~9 MiB => three chunked
@@ -329,12 +327,11 @@ TEST_P(EgressServerTest, ChunkedGatherBytesIdenticalToTheStringEncoders) {
   EXPECT_TRUE(raw == expected) << "zero-copy egress changed the wire bytes";
 }
 
-TEST_P(EgressServerTest, MuxedCallBytesDecodeAndEgressMetricsCount) {
+TEST_F(EgressServerTest, MuxedCallBytesDecodeAndEgressMetricsCount) {
   transport_.set_recommendations({});
   StartServer();
   auto conn = MuxConnection::Dial("127.0.0.1", server_->port(), {});
   ASSERT_TRUE(conn.ok()) << conn.status();
-  ASSERT_TRUE((*conn)->muxed());
   std::vector<Frame> reply;
   ASSERT_TRUE((*conn)->CallOne(PingFrame(), 0, &reply).ok());
   ASSERT_EQ(reply.size(), 1u);
@@ -346,21 +343,15 @@ TEST_P(EgressServerTest, MuxedCallBytesDecodeAndEgressMetricsCount) {
   EXPECT_NE(text.find("rpc_frames_per_writev"), std::string::npos);
 }
 
-INSTANTIATE_TEST_SUITE_P(BothLoops, EgressServerTest,
-                         ::testing::Values(ServerLoop::kThreads,
-                                           ServerLoop::kEpoll),
-                         [](const auto& info) {
-                           return std::string(ServerLoopFlag(info.param));
-                         });
-
 // --- the convoy regression (send_mu_ held across a blocking jumbo write) ----
 
 TEST(MuxEgressTest, SmallStartIsNotConvoyedBehindAJumboFrameWrite) {
-  // A fake daemon that accepts and reads NOTHING until told: the client's
-  // first Start (a 12 MiB jumbo) must block in the kernel with every
-  // socket buffer full, while a second thread's small Start returns
+  // A fake daemon that grants mux and then reads NOTHING until told: the
+  // client's first Start (a 12 MiB jumbo) must block in the kernel with
+  // every socket buffer full, while a second thread's small Start returns
   // promptly — under the old code it parked on send_mu_ for the whole
-  // jumbo write. The wire must still carry jumbo-then-ping, in order.
+  // jumbo write. The wire must still carry jumbo-then-ping, in order, each
+  // in its request-id envelope.
   auto listener = TcpListener::Listen("127.0.0.1", 0);
   ASSERT_TRUE(listener.ok()) << listener.status();
   const int tiny = 16 << 10;
@@ -371,13 +362,22 @@ TEST(MuxEgressTest, SmallStartIsNotConvoyedBehindAJumboFrameWrite) {
   std::string jumbo;
   AppendFrame(MessageTag::kPublish, std::string(12u << 20, 'j'), &jumbo);
   const std::string ping = PingFrame();
+  std::string expected;
+  AppendMuxRequest(1, jumbo, &expected);
+  AppendMuxRequest(2, ping, &expected);
 
   std::atomic<bool> jumbo_started{false};
   std::atomic<bool> jumbo_done{false};
-  std::string received(jumbo.size() + ping.size(), '\0');
+  std::string received(expected.size(), '\0');
   std::thread server([&] {
     Result<TcpSocket> peer = listener->Accept();
     ASSERT_TRUE(peer.ok()) << peer.status();
+    Frame hello;
+    ASSERT_TRUE(ReadFrame(&*peer, &hello).ok());
+    ASSERT_EQ(hello.tag, MessageTag::kHello);
+    std::string hello_reply;
+    AppendHelloReply(kFeatureMux, 64, &hello_reply);
+    ASSERT_TRUE(WriteFrames(&*peer, hello_reply).ok());
     // Hold every byte in flight until the small Start has come back.
     while (!jumbo_started.load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -386,9 +386,7 @@ TEST(MuxEgressTest, SmallStartIsNotConvoyedBehindAJumboFrameWrite) {
     ASSERT_TRUE(peer->ReadFull(received.data(), received.size(), &eof).ok());
   });
 
-  MuxConnectionOptions options;
-  options.enable_mux = false;  // legacy path: no hello to fake
-  auto conn = MuxConnection::Dial("127.0.0.1", listener->port(), options);
+  auto conn = MuxConnection::Dial("127.0.0.1", listener->port(), {});
   ASSERT_TRUE(conn.ok()) << conn.status();
 
   std::thread jumbo_writer([&] {
@@ -410,8 +408,8 @@ TEST(MuxEgressTest, SmallStartIsNotConvoyedBehindAJumboFrameWrite) {
 
   server.join();
   jumbo_writer.join();
-  EXPECT_EQ(received.compare(0, jumbo.size(), jumbo), 0);
-  EXPECT_EQ(received.compare(jumbo.size(), ping.size(), ping), 0);
+  EXPECT_TRUE(received == expected)
+      << "the jumbo and the ping reached the wire out of order or mangled";
   (*conn)->Shutdown();
 }
 

@@ -1,14 +1,14 @@
-// Session-layer acceptance: the hello negotiation (both directions of
-// version skew), request-id multiplexing with out-of-order completion on
-// one socket, timeout-abandon keeping the connection usable, and the
-// legacy in-order fallback staying byte-compatible with pre-versioning
-// peers — the back-compat lock the rolling-upgrade story rests on.
+// Session-layer acceptance: the hello negotiation (and a clear dial error
+// against a peer that will not multiplex), request-id multiplexing with
+// out-of-order completion on one socket, timeout-abandon keeping the
+// connection usable, and bounded waits at the server's in-flight cap.
 
 #include "net/mux_connection.h"
 
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,10 +16,9 @@
 
 #include "stub_transport.h"
 
-#include "cluster/transport.h"
-#include "gen/figure1.h"
-#include "net/remote_cluster.h"
+#include "net/frame_io.h"
 #include "net/rpc_server.h"
+#include "net/socket.h"
 #include "net/wire.h"
 
 namespace magicrecs::net {
@@ -44,75 +43,95 @@ struct Harness {
   std::unique_ptr<RpcServer> server;
 };
 
-std::unique_ptr<Harness> StartServer(ServerLoop loop,
-                                     bool server_mux = true) {
+std::unique_ptr<Harness> StartServer() {
   auto h = std::make_unique<Harness>();
-  RpcServerOptions options;
-  options.loop = loop;
-  options.enable_mux = server_mux;
-  auto server = RpcServer::Start(&h->transport, options);
+  auto server = RpcServer::Start(&h->transport, RpcServerOptions{});
   EXPECT_TRUE(server.ok()) << server.status();
   h->server = std::move(server).value();
   return h;
 }
 
-TEST(MuxConnectionTest, NegotiatesWithAnUpgradedServer) {
-  for (const ServerLoop loop : {ServerLoop::kThreads, ServerLoop::kEpoll}) {
-    auto h = StartServer(loop);
-    auto conn = MuxConnection::Dial("127.0.0.1", h->server->port(), {});
-    ASSERT_TRUE(conn.ok()) << conn.status();
-    EXPECT_TRUE((*conn)->muxed());
-    EXPECT_EQ((*conn)->server_max_inflight(), 64u);
-    std::vector<Frame> reply;
-    ASSERT_TRUE((*conn)->CallOne(PingFrame(), 0, &reply).ok());
-    ASSERT_EQ(reply.size(), 1u);
-    EXPECT_EQ(reply[0].tag, MessageTag::kAck);
-    EXPECT_EQ(h->server->stats().mux_connections, 1u);
-  }
+TEST(MuxConnectionTest, NegotiatesWithTheServer) {
+  auto h = StartServer();
+  auto conn = MuxConnection::Dial("127.0.0.1", h->server->port(), {});
+  ASSERT_TRUE(conn.ok()) << conn.status();
+  EXPECT_NE((*conn)->features() & kFeatureMux, 0u);
+  EXPECT_EQ((*conn)->server_max_inflight(), 64u);
+  std::vector<Frame> reply;
+  ASSERT_TRUE((*conn)->CallOne(PingFrame(), 0, &reply).ok());
+  ASSERT_EQ(reply.size(), 1u);
+  EXPECT_EQ(reply[0].tag, MessageTag::kAck);
+  EXPECT_EQ(h->server->stats().mux_connections, 1u);
 }
 
-TEST(MuxConnectionTest, FallsBackAgainstAPreVersioningServer) {
-  // enable_mux=false makes the server treat kHello as an unknown tag —
-  // exactly what a pre-PR5 binary does. The client must downgrade to the
-  // strict in-order session and still serve calls.
-  for (const ServerLoop loop : {ServerLoop::kThreads, ServerLoop::kEpoll}) {
-    auto h = StartServer(loop, /*server_mux=*/false);
-    auto conn = MuxConnection::Dial("127.0.0.1", h->server->port(), {});
-    ASSERT_TRUE(conn.ok()) << conn.status();
-    EXPECT_FALSE((*conn)->muxed());
-    std::vector<Frame> reply;
-    ASSERT_TRUE((*conn)->CallOne(PingFrame(), 0, &reply).ok());
-    ASSERT_EQ(reply.size(), 1u);
-    EXPECT_EQ(reply[0].tag, MessageTag::kAck);
-    EXPECT_EQ(h->server->stats().mux_connections, 0u);
-  }
+/// Runs Dial against a fake peer that reads the client's opening frame and
+/// answers it with `hello_reply`, then waits for the client to hang up.
+/// Returns the dial's Status; *opening_tag is the first frame's tag.
+Status DialFakePeer(const std::string& hello_reply, MessageTag* opening_tag,
+                    std::string* peer_name) {
+  auto listener = TcpListener::Listen("127.0.0.1", 0);
+  EXPECT_TRUE(listener.ok()) << listener.status();
+  *peer_name = "127.0.0.1:" + std::to_string(listener->port());
+  std::atomic<bool> client_hung_up{false};
+  std::thread peer([&] {
+    Result<TcpSocket> socket = listener->Accept();
+    ASSERT_TRUE(socket.ok()) << socket.status();
+    Frame opening;
+    ASSERT_TRUE(ReadFrame(&*socket, &opening).ok());
+    *opening_tag = opening.tag;
+    ASSERT_TRUE(WriteFrames(&*socket, hello_reply).ok());
+    Frame next;
+    bool clean_eof = false;
+    (void)ReadFrame(&*socket, &next, &clean_eof);
+    client_hung_up.store(clean_eof, std::memory_order_release);
+  });
+  MuxConnectionOptions options;
+  options.hello_timeout_ms = 10'000;  // a broken fake fails, not hangs
+  auto conn = MuxConnection::Dial("127.0.0.1", listener->port(), options);
+  const Status status = conn.status();
+  peer.join();
+  EXPECT_TRUE(client_hung_up.load(std::memory_order_acquire))
+      << "a failed dial must release its socket, sending nothing more";
+  return status;
 }
 
-TEST(MuxConnectionTest, LegacyClientSpeaksToAnUpgradedServer) {
-  // The other direction of version skew: a pre-versioning client never
-  // sends kHello, so the server must serve bare in-order traffic forever.
-  for (const ServerLoop loop : {ServerLoop::kThreads, ServerLoop::kEpoll}) {
-    auto h = StartServer(loop);
-    MuxConnectionOptions mopt;
-    mopt.enable_mux = false;
-    auto conn = MuxConnection::Dial("127.0.0.1", h->server->port(), mopt);
-    ASSERT_TRUE(conn.ok()) << conn.status();
-    EXPECT_FALSE((*conn)->muxed());
-    std::vector<Frame> reply;
-    ASSERT_TRUE((*conn)->CallOne(PingFrame(), 0, &reply).ok());
-    EXPECT_EQ(reply[0].tag, MessageTag::kAck);
-  }
+TEST(MuxConnectionTest, DialFailsClearlyWhenThePeerRefusesHello) {
+  // A peer that answers kHello with kError is not a protocol version to
+  // downgrade to: the dial fails, naming the peer, before any reader
+  // thread starts.
+  std::string refusal;
+  AppendError(Status::Unimplemented("unknown message tag 0x0a"), &refusal);
+  MessageTag opening = MessageTag::kPing;
+  std::string peer;
+  const Status dialed = DialFakePeer(refusal, &opening, &peer);
+  EXPECT_EQ(opening, MessageTag::kHello) << "clients always open with hello";
+  ASSERT_TRUE(dialed.IsFailedPrecondition()) << dialed;
+  EXPECT_NE(dialed.ToString().find(peer), std::string::npos) << dialed;
+  EXPECT_NE(dialed.ToString().find("unknown message tag"), std::string::npos)
+      << dialed;
+}
+
+TEST(MuxConnectionTest, DialFailsClearlyWhenHelloReplyLacksMux) {
+  std::string trace_only;
+  AppendHelloReply(kFeatureTrace, 64, &trace_only);
+  MessageTag opening = MessageTag::kPing;
+  std::string peer;
+  const Status dialed = DialFakePeer(trace_only, &opening, &peer);
+  EXPECT_EQ(opening, MessageTag::kHello);
+  ASSERT_TRUE(dialed.IsFailedPrecondition()) << dialed;
+  EXPECT_NE(dialed.ToString().find(peer), std::string::npos) << dialed;
+  EXPECT_NE(dialed.ToString().find("multiplexing"), std::string::npos)
+      << dialed;
 }
 
 TEST(MuxConnectionTest, OrderFreeReadOvertakesAStalledWriteOnOneSocket) {
   // The reason mux exists: a gated Drain holds its worker on the epoll
   // server while a Ping issued LATER on the SAME connection completes
   // first — out-of-order replies demultiplexed by request_id.
-  auto h = StartServer(ServerLoop::kEpoll);
+  auto h = StartServer();
   h->transport.GateDrains();
   auto conn = MuxConnection::Dial("127.0.0.1", h->server->port(), {});
   ASSERT_TRUE(conn.ok()) << conn.status();
-  ASSERT_TRUE((*conn)->muxed());
 
   auto drain = (*conn)->Start(DrainFrame());
   ASSERT_TRUE(drain.ok()) << drain.status();
@@ -139,7 +158,7 @@ TEST(MuxConnectionTest, TimedOutCallIsAbandonedAndTheConnectionSurvives) {
   // The property the old leased-socket pool could not offer: a deadline
   // miss forgets the request id instead of poisoning the stream. The late
   // reply is discarded and the SAME connection keeps serving.
-  auto h = StartServer(ServerLoop::kEpoll);
+  auto h = StartServer();
   h->transport.GateDrains();
   auto conn = MuxConnection::Dial("127.0.0.1", h->server->port(), {});
   ASSERT_TRUE(conn.ok()) << conn.status();
@@ -165,7 +184,6 @@ TEST(MuxConnectionTest, CapWaitIsBoundedAgainstASilentServer) {
   // connection — instead of hanging ahead of every Await-side timeout.
   auto h = std::make_unique<Harness>();
   RpcServerOptions options;
-  options.loop = ServerLoop::kEpoll;
   options.max_inflight_per_conn = 1;
   auto server = RpcServer::Start(&h->transport, options);
   ASSERT_TRUE(server.ok()) << server.status();
@@ -194,15 +212,15 @@ TEST(MuxConnectionTest, CapWaitIsBoundedAgainstASilentServer) {
 }
 
 TEST(MuxConnectionTest, ManyThreadsShareOneConnection) {
-  auto h = StartServer(ServerLoop::kEpoll);
+  auto h = StartServer();
   auto conn = MuxConnection::Dial("127.0.0.1", h->server->port(), {});
   ASSERT_TRUE(conn.ok()) << conn.status();
-  constexpr int kThreads = 8;
+  constexpr int kCallers = 8;
   constexpr int kCallsPerThread = 50;
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
+  threads.reserve(kCallers);
+  for (int t = 0; t < kCallers; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < kCallsPerThread; ++i) {
         std::vector<Frame> reply;
@@ -216,12 +234,12 @@ TEST(MuxConnectionTest, ManyThreadsShareOneConnection) {
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(h->server->stats().requests_served,
-            static_cast<uint64_t>(kThreads * kCallsPerThread) + 1)
+            static_cast<uint64_t>(kCallers * kCallsPerThread) + 1)
       << "every call (plus the hello) answered exactly once";
 }
 
 TEST(MuxConnectionTest, ShutdownFailsInflightCallsAndFutureStarts) {
-  auto h = StartServer(ServerLoop::kEpoll);
+  auto h = StartServer();
   h->transport.GateDrains();
   auto conn = MuxConnection::Dial("127.0.0.1", h->server->port(), {});
   ASSERT_TRUE(conn.ok()) << conn.status();
@@ -242,58 +260,10 @@ TEST(MuxConnectionTest, ShutdownFailsInflightCallsAndFutureStarts) {
 
 TEST(MuxConnectionTest, FailedDialReturnsErrorNotCrash) {
   // Nothing listens on the reserved port: the dial must come back as a
-  // Status — and tearing down the half-built RemoteCluster (conn_ never
-  // assigned) must not crash in Close().
-  RemoteClusterOptions ropt;
-  ropt.port = 1;
-  auto remote = RemoteCluster::Connect(ropt);
-  EXPECT_FALSE(remote.ok());
-  EXPECT_TRUE(remote.status().IsUnavailable()) << remote.status();
-}
-
-// --- the ClusterTransport-level back-compat locks ----------------------------
-
-TEST(MuxConnectionTest, RemoteClusterLegacyModeMatchesFigure1) {
-  // Full client driving the legacy wire (enable_mux=false): the bytes on
-  // the wire are the pre-versioning protocol's, and the results must be
-  // identical to the muxed session's.
-  for (const bool client_mux : {true, false}) {
-    ClusterOptions options;
-    options.num_partitions = 2;
-    options.detector.k = 2;
-    options.detector.window = Minutes(10);
-    auto hosted = LocalClusterTransport::Create(
-        figure1::FollowGraph(), options,
-        LocalClusterTransport::Mode::kThreaded);
-    ASSERT_TRUE(hosted.ok()) << hosted.status();
-    auto server = RpcServer::Start(hosted->get(), RpcServerOptions{});
-    ASSERT_TRUE(server.ok()) << server.status();
-
-    RemoteClusterOptions ropt;
-    ropt.port = (*server)->port();
-    ropt.enable_mux = client_mux;
-    auto remote = RemoteCluster::Connect(ropt);
-    ASSERT_TRUE(remote.ok()) << remote.status();
-    EXPECT_EQ((*remote)->muxed(), client_mux);
-
-    for (const TimestampedEdge& edge : figure1::DynamicEdges(0)) {
-      EdgeEvent event;
-      event.edge = edge;
-      ASSERT_TRUE((*remote)->Publish(event).ok());
-    }
-    ASSERT_TRUE((*remote)->Drain().ok());
-    auto recs = (*remote)->TakeRecommendations();
-    ASSERT_TRUE(recs.ok()) << recs.status();
-    ASSERT_EQ(recs->size(), 1u);
-    EXPECT_EQ((*recs)[0].user, figure1::kA2);
-    EXPECT_EQ((*recs)[0].item, figure1::kC2);
-
-    // The negotiated stats tail must never leak to a legacy session.
-    auto stats = (*remote)->GetStats();
-    ASSERT_TRUE(stats.ok()) << stats.status();
-    EXPECT_EQ(stats->server.any(), client_mux)
-        << "server-loop counters are a negotiated extension";
-  }
+  // Status, and tearing down the half-built connection must not crash.
+  auto conn = MuxConnection::Dial("127.0.0.1", 1, {});
+  EXPECT_FALSE(conn.ok());
+  EXPECT_TRUE(conn.status().IsUnavailable()) << conn.status();
 }
 
 }  // namespace

@@ -8,13 +8,14 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cluster/transport.h"
 #include "gen/figure1.h"
 #include "net/frame_io.h"
-#include "net/remote_cluster.h"
+#include "net/mux_connection.h"
 #include "net/rpc_server.h"
 #include "net/socket.h"
 #include "net/wire.h"
@@ -45,11 +46,14 @@ class RpcRobustnessTest : public ::testing::Test {
 
   /// The daemon must still serve a well-behaved client.
   void ExpectServerAlive() {
-    RemoteClusterOptions options;
-    options.port = server_->port();
-    auto remote = RemoteCluster::Connect(options);
-    ASSERT_TRUE(remote.ok()) << remote.status();
-    EXPECT_TRUE((*remote)->Ping().ok());
+    auto conn = MuxConnection::Dial("127.0.0.1", server_->port(), {});
+    ASSERT_TRUE(conn.ok()) << conn.status();
+    std::string ping;
+    AppendEmptyRequest(MessageTag::kPing, &ping);
+    std::vector<Frame> reply;
+    ASSERT_TRUE((*conn)->CallOne(ping, /*timeout_ms=*/10'000, &reply).ok());
+    ASSERT_EQ(reply.size(), 1u);
+    EXPECT_EQ(reply[0].tag, MessageTag::kAck);
   }
 
   /// Handler threads for severed connections finish asynchronously; poll

@@ -1,6 +1,7 @@
 // A scriptable ClusterTransport for server-loop and session tests: canned
-// recommendations for gathers, an optional gate that parks Drain calls
-// until released (to hold a request in flight deliberately), and counters.
+// recommendations for gathers, canned completed traces, an optional gate
+// that parks Drain calls until released (to hold a request in flight
+// deliberately), and counters.
 // Lets the net tests exercise scheduling, partial I/O, and multiplexing
 // without hauling a real detector workload into every case.
 
@@ -25,6 +26,12 @@ class StubTransport : public ClusterTransport {
   void set_recommendations(std::vector<Recommendation> recs) {
     std::lock_guard<std::mutex> lock(mu_);
     recs_ = std::move(recs);
+  }
+
+  /// Every future TakeTraces returns a copy of `traces`.
+  void set_traces(std::vector<TraceContext> traces) {
+    std::lock_guard<std::mutex> lock(mu_);
+    traces_ = std::move(traces);
   }
 
   /// Once set, Drain calls block until Release().
@@ -70,6 +77,11 @@ class StubTransport : public ClusterTransport {
     return recs_;
   }
 
+  std::vector<TraceContext> TakeTraces() override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return traces_;
+  }
+
   Status Checkpoint(Timestamp) override { return Status::OK(); }
   Status KillReplica(uint32_t, uint32_t) override { return Status::OK(); }
   Status RecoverReplica(uint32_t, uint32_t) override { return Status::OK(); }
@@ -90,6 +102,7 @@ class StubTransport : public ClusterTransport {
   std::atomic<int> drains_blocked_{0};
   std::atomic<uint64_t> publishes_{0};
   std::vector<Recommendation> recs_;
+  std::vector<TraceContext> traces_;
 };
 
 }  // namespace magicrecs::net_test

@@ -10,9 +10,10 @@ latency fields. The check fails when, for any row present in both files,
     more than --threshold (default 30%), or
   * tail latency (p99_us) grew by more than --threshold.
 
-Rows present only in the baseline are reported but do not fail the check
-(a bench section can be retired); rows present only in the current run are
-new coverage and pass silently. Refresh the baseline deliberately:
+It also fails when a baseline row (in a checked section) is missing from
+the run: a gate must not vanish silently. Retiring a row means deleting it
+from the baseline in the same change. Rows present only in the current run
+are new coverage and pass silently. Refresh the baseline deliberately:
 
     ./build/bench_net && ./build/bench_health
     cp BENCH_net.json bench/baseline/BENCH_net.json
@@ -98,14 +99,16 @@ def main():
     sections = {s for s in args.sections.split(",") if s}
 
     failures = []
+    missing = []
     compared = 0
     for key, base_row in sorted(baseline.items()):
         if sections and base_row.get("section") not in sections:
             continue
         cur_row = current.get(key)
         if cur_row is None:
-            print(f"note: baseline-only row (not failing): "
+            print(f"FAIL: baseline row missing from the run: "
                   f"{describe(base_row)}")
+            missing.append(base_row)
             continue
         for field, direction in GATED.items():
             if field not in base_row or field not in cur_row:
@@ -125,15 +128,22 @@ def main():
             if bad:
                 failures.append((base_row, field, base, cur))
 
-    if compared == 0:
+    if compared == 0 and not missing:
         sys.exit("no comparable measurements between "
                  f"{args.baseline} and {args.current}")
+    if missing:
+        print(f"\n{len(missing)} baseline row(s) missing from "
+              f"{args.current} (retire a row by deleting it from "
+              f"{args.baseline}):", file=sys.stderr)
+        for row in missing:
+            print(f"  {describe(row)}", file=sys.stderr)
     if failures:
         print(f"\n{len(failures)} regression(s) beyond "
               f"{args.threshold:.0%}:", file=sys.stderr)
         for row, field, base, cur in failures:
             print(f"  {describe(row)} :: {field} {base:.1f} -> {cur:.1f}",
                   file=sys.stderr)
+    if missing or failures:
         sys.exit(1)
     print(f"\nbench check passed: {compared} measurements within "
           f"{args.threshold:.0%} of baseline")

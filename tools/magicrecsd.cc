@@ -2,8 +2,9 @@
 // replicated cluster behind the binary RPC listener (src/net/), so the
 // deployment of §2 — partition servers as real processes behind a fan-out
 // broker — can be exercised over an actual network boundary instead of a
-// function call. RemoteCluster (or any client speaking the wire protocol in
-// src/net/wire.h) drives it.
+// function call. The fan-out broker (net/fanout_cluster.h; one endpoint
+// for an all-hosting daemon), or any client speaking the wire protocol in
+// src/net/wire.h, drives it.
 //
 // Typical invocations:
 //   magicrecsd --graph=fig1 --k=2 --port=7421
@@ -64,9 +65,7 @@ struct DaemonOptions {
   // net/rpc_server.h). 0 disables dedup.
   size_t publish_dedup_window = 4096;
 
-  // Server loop (net/rpc_server.h): kAuto resolves MAGICRECS_SERVER_LOOP,
-  // defaulting to the epoll reactor.
-  net::ServerLoop server_loop = net::ServerLoop::kAuto;
+  // Epoll server loop (net/rpc_server.h).
   size_t max_inflight_per_conn = 64;
   int rpc_workers = 4;
 
@@ -103,12 +102,10 @@ void PrintUsage() {
       "  --max-influencers=N    influencer cap, 0 = off (0)\n"
       "  --publish-dedup-window=N  idempotent batch sequences remembered\n"
       "                         for hedged-publish dedup; 0 = off (4096)\n"
-      "  --server-loop=MODE     threads | epoll (default: epoll, or the\n"
-      "                         MAGICRECS_SERVER_LOOP environment variable)\n"
-      "  --max-inflight-per-conn=N  epoll loop: dispatched-but-unanswered\n"
+      "  --max-inflight-per-conn=N  dispatched-but-unanswered\n"
       "                         requests per connection before the reactor\n"
       "                         stops reading that peer (64)\n"
-      "  --rpc-workers=N        epoll loop: request worker threads (4)\n"
+      "  --rpc-workers=N        request worker threads (4)\n"
       "  --slow-request-ms=N    log requests slower than N ms; 0 = off (0)\n"
       "  --metrics-dump-interval=N  append a metrics JSONL line every N\n"
       "                         seconds; 0 = off (0)\n"
@@ -178,14 +175,6 @@ bool ParseArgs(int argc, char** argv, DaemonOptions* options) {
       options->cluster.max_influencers_per_user = static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
     } else if (FlagValue(arg, "publish-dedup-window", &value)) {
       options->publish_dedup_window = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (FlagValue(arg, "server-loop", &value)) {
-      if (!net::ParseServerLoop(value, &options->server_loop)) {
-        std::fprintf(stderr,
-                     "magicrecsd: --server-loop must be threads or epoll, "
-                     "got '%s'\n",
-                     value.c_str());
-        return false;
-      }
     } else if (FlagValue(arg, "max-inflight-per-conn", &value)) {
       options->max_inflight_per_conn =
           std::strtoull(value.c_str(), nullptr, 10);
@@ -284,7 +273,6 @@ int main(int argc, char** argv) {
   server_options.host = options.host;
   server_options.port = options.port;
   server_options.publish_dedup_window = options.publish_dedup_window;
-  server_options.loop = options.server_loop;
   server_options.max_inflight_per_conn = options.max_inflight_per_conn;
   server_options.worker_threads = options.rpc_workers;
   server_options.slow_request_us = options.slow_request_ms * 1000;
@@ -323,11 +311,10 @@ int main(int argc, char** argv) {
           : StrFormat("%u partitions x %u replicas",
                       options.cluster.num_partitions,
                       options.cluster.replicas_per_partition);
-  std::printf("magicrecsd listening on %s:%u (%s, k=%u, %s, %s loop)\n",
+  std::printf("magicrecsd listening on %s:%u (%s, k=%u, %s)\n",
               options.host.c_str(), (*server)->port(), shape.c_str(),
               options.cluster.detector.k,
-              options.inline_mode ? "inline" : "threaded",
-              std::string(net::ServerLoopFlag((*server)->loop())).c_str());
+              options.inline_mode ? "inline" : "threaded");
   std::fflush(stdout);
 
   std::unique_ptr<MetricsJsonlDumper> dumper;
